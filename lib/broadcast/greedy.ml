@@ -5,95 +5,129 @@ type decision = {
   state : Word.state;
 }
 
-(* One decision of Algorithm 2 given the current accounting: which class
-   should the next node have? Mirrors lines 4-15 of the paper's
-   pseudo-code; [None] means line 3 failed (total supply below T). *)
-let choose inst ~rate (st : Word.state) =
+(* [Util.flt] and [Util.fge] at the library tolerance, restated so the loop
+   below compares its accumulators without boxing them. *)
+let[@inline] scale a b = Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+let[@inline] flt a b = b -. a > Util.eps *. scale a b
+let[@inline] fge a b = b -. a <= Util.eps *. scale b a
+
+(* Algorithm 2 as one loop over unboxed accumulators: [o], [g], [w] are
+   O(pi), G(pi), W(pi); [i], [j] count the open and guarded nodes fed.
+   Line 3 fails when O + G < T. Lines 4-15 prefer □ unless it is
+   unpayable (O < T) or would leave less than T of supply (O + G - T +
+   b_next < T); with one □ left, the larger bandwidth goes next. The step
+   is {!Word.step}'s conservative one, with its float operations in its
+   order, so every answer is bit-identical to stepping [Word.state]
+   records (the tests hold both to a recursive oracle).
+   Line 17 (O < 0) is subsumed: □ needs O >= T and © keeps O >= 0.
+
+   Returns the number of letters placed, [n + m] iff [rate] is feasible;
+   [word] receives each letter and [trace] each decision. With neither, a
+   probe allocates nothing. *)
+let run inst ~rate ~word ~trace =
   let n = inst.Instance.n and m = inst.Instance.m in
   let b = inst.Instance.bandwidth in
-  let i = st.Word.fed_open and j = st.Word.fed_guarded in
-  let total = st.Word.avail_open +. st.Word.avail_guarded in
-  if Util.flt total rate then None
-  else if i = n then Some Instance.Guarded
-  else if j = m then Some Instance.Open
-  else begin
-    let b_guard_next = b.(n + j + 1) and b_open_next = b.(i + 1) in
-    let open_short = Util.flt st.Word.avail_open rate in
-    if j = m - 1 then
-      (* A single guarded node remains: pick the larger bandwidth next,
-         unless the guarded one cannot be paid for. *)
-      if open_short || b_guard_next < b_open_next then Some Instance.Open
-      else Some Instance.Guarded
-    else if open_short || Util.flt (total +. b_guard_next) (2. *. rate) then
-      (* Choosing □ now would either be unpayable (O < T) or leave less
-         than T of total supply afterwards (O + G - T + b_next < T). *)
-      Some Instance.Open
-    else Some Instance.Guarded
-  end
-
-let run_algorithm inst ~rate =
-  if not (Instance.sorted inst) then invalid_arg "Greedy: instance must be sorted";
-  if rate <= 0. then invalid_arg "Greedy: rate must be positive";
-  let total = inst.Instance.n + inst.Instance.m in
-  let rec go st acc k =
-    if k = total then (Some (List.rev acc), List.rev acc)
-    else
-      match choose inst ~rate st with
-      | None -> (None, List.rev acc)
-      | Some letter -> begin
-        match Word.step inst ~rate st letter with
-        | None -> (None, List.rev acc)
-        | Some st' ->
-          (* Line 17 of the pseudo-code (O(pi) < 0) is subsumed: a guarded
-             step already requires O >= T and an open step keeps O >= 0. *)
-          go st' ({ letter; state = st' } :: acc) (k + 1)
+  let o = ref b.(0) and g = ref 0. and w = ref 0. in
+  let i = ref 0 and j = ref 0 and ok = ref true in
+  while !ok && !i + !j < n + m do
+    let total = !o +. !g in
+    if flt total rate then ok := false
+    else begin
+      let guarded =
+        !i = n
+        || !j < m
+           && not
+                (flt !o rate
+                || if !j = m - 1 then b.(n + !j + 1) < b.(!i + 1)
+                   else flt (total +. b.(n + !j + 1)) (2. *. rate))
+      in
+      if guarded then begin
+        (* Fed from open bandwidth only (firewall). *)
+        if not (fge !o rate) then ok := false
+        else begin
+          o := !o -. rate;
+          g := !g +. b.(n + !j + 1);
+          incr j
+        end
       end
-  in
-  go (Word.initial_state inst) [] 0
+      else if not (fge total rate) then ok := false
+      else begin
+        (* Drain guarded supply first; the shortfall is waste (Lemma 4.3). *)
+        let from_open = Float.max 0. (rate -. !g) in
+        o := !o +. b.(!i + 1) -. from_open;
+        g := Float.max 0. (!g -. rate);
+        w := !w +. from_open;
+        incr i
+      end;
+      if !ok then begin
+        let letter = if guarded then Instance.Guarded else Instance.Open in
+        (match word with Some a -> a.(!i + !j - 1) <- letter | None -> ());
+        match trace with
+        | None -> ()
+        | Some t ->
+          let state =
+            { Word.avail_open = !o; avail_guarded = !g; waste = !w;
+              fed_open = !i; fed_guarded = !j }
+          in
+          t := { letter; state } :: !t
+      end
+    end
+  done;
+  !i + !j
 
-let word_of_trace trace = Array.of_list (List.map (fun d -> d.letter) trace)
+let receivers inst = inst.Instance.n + inst.Instance.m
+
+let check inst ~rate =
+  if not (Instance.sorted inst) then invalid_arg "Greedy: instance must be sorted";
+  if rate <= 0. then invalid_arg "Greedy: rate must be positive"
+
+let feasible inst ~rate =
+  check inst ~rate;
+  run inst ~rate ~word:None ~trace:None = receivers inst
+
+let witness inst ~rate ~trace =
+  check inst ~rate;
+  let word = Array.make (receivers inst) Instance.Open in
+  if run inst ~rate ~word:(Some word) ~trace = receivers inst then Some word
+  else None
+
+let test inst ~rate = witness inst ~rate ~trace:None
 
 let test_trace inst ~rate =
-  match run_algorithm inst ~rate with
-  | Some trace, full -> (Some (word_of_trace trace), full)
-  | None, partial -> (None, partial)
+  let trace = ref [] in
+  let word = witness inst ~rate ~trace:(Some trace) in
+  (word, List.rev !trace)
 
-let test inst ~rate = fst (test_trace inst ~rate)
+(* The dichotomic search of Theorem 4.1: [None] on a degenerate instance
+   (e.g. a zero-bandwidth source), whose optimum is 0 without a probe. *)
+let search ?iterations ~op inst =
+  if not (Instance.sorted inst) then invalid_arg (op ^ ": instance must be sorted");
+  if receivers inst < 1 then invalid_arg (op ^ ": no receiver");
+  let hi = Bounds.cyclic_upper inst in
+  if hi <= 0. then None
+  else begin
+    let s =
+      Util.dichotomic_search ?iterations ~lo:0. ~hi (fun rate ->
+          rate <= 0. || feasible inst ~rate)
+    in
+    (* lo = 0 is always feasible (the degenerate rate), so the search
+       cannot report infeasibility here. *)
+    assert s.Util.feasible;
+    Some s.Util.value
+  end
+
+let optimal_rate inst =
+  Option.value ~default:0. (search ~op:"Greedy.optimal_rate" inst)
 
 let optimal_acyclic ?iterations inst =
-  if not (Instance.sorted inst) then
-    invalid_arg "Greedy.optimal_acyclic: instance must be sorted";
-  if inst.Instance.n + inst.Instance.m < 1 then
-    invalid_arg "Greedy.optimal_acyclic: no receiver";
-  let hi = Bounds.cyclic_upper inst in
-  if hi <= 0. then
-    (* Degenerate (e.g. a zero-bandwidth source): rate 0, but the
-       witness must still be a complete word for this instance. *)
+  match search ?iterations ~op:"Greedy.optimal_acyclic" inst with
+  | None ->
+    (* Rate 0 still needs a complete word for this instance. *)
     ( 0.,
       Array.append
         (Array.make inst.Instance.n Instance.Open)
         (Array.make inst.Instance.m Instance.Guarded) )
-  else begin
-    let feasible rate = rate <= 0. || test inst ~rate <> None in
-    let search = Util.dichotomic_search ?iterations ~lo:0. ~hi feasible in
-    (* lo = 0 is always feasible (the degenerate rate), so the search
-       cannot report infeasibility here; the witness lookup below handles
-       the t = 0 fringe. *)
-    assert search.Util.feasible;
-    let t = search.Util.value in
-    match test inst ~rate:t with
-    | Some w -> (t, w)
-    | None ->
-      (* t = 0 or tolerance fringe: nudge down until the witness exists. *)
-      let rec retry rate k =
-        if k = 0 || rate <= 0. then
-          (0., Array.append
-                 (Array.make inst.Instance.n Instance.Open)
-                 (Array.make inst.Instance.m Instance.Guarded))
-        else
-          match test inst ~rate with
-          | Some w -> (rate, w)
-          | None -> retry (rate *. (1. -. 1e-9)) (k - 1)
-      in
-      retry t 8
-  end
+  | Some t -> (
+    (* The search's value is the last rate a probe accepted (or 0, which
+       [test] rejects), so the witness run repeats that probe. *)
+    match test inst ~rate:t with Some w -> (t, w) | None -> assert false)

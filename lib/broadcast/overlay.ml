@@ -12,11 +12,15 @@ let order t = t.order
 let of_word inst ~rate word =
   { scheme = Low_degree.build inst ~rate word; order = Word.to_order word inst }
 
+(* The rate [build] targets at the optimum: the bisection optimum backed
+   off by 4 eps, so the witness re-derived at it is safely feasible. *)
+let back_off t = t *. (1. -. (4. *. Util.eps))
+
 let build ?rate inst =
   match rate with
   | None ->
     let t, w = Greedy.optimal_acyclic inst in
-    let rate = t *. (1. -. (4. *. Util.eps)) in
+    let rate = back_off t in
     (* Re-derive the witness at the backed-off rate so word and rate are
        mutually consistent. *)
     let word = match Greedy.test inst ~rate with Some w' -> w' | None -> w in
@@ -26,6 +30,11 @@ let build ?rate inst =
     | None -> invalid_arg "Overlay.build: rate is not feasible"
     | Some word -> of_word inst ~rate word
   end
+
+let optimal_rate inst =
+  match Greedy.optimal_rate inst with
+  | t -> back_off t
+  | exception Invalid_argument _ -> 0.
 
 let verified_rate t =
   if Scheme.size t.scheme <= 1 then infinity else Scheme.throughput t.scheme
@@ -65,19 +74,28 @@ let well_formed t =
   let rep = Scheme.report t.scheme in
   rep.Verify.bandwidth_ok && rep.Verify.firewall_ok && rep.Verify.bin_ok
 
-let edge_distance a b =
-  let eps = 1e-9 in
-  let differs w w' = Float.abs (w -. w') > eps *. Float.max 1. (Float.max w w') in
+let edge_changed w w' =
+  if w = 0. then w' > 0.
+  else Float.abs (w -. w') > 1e-9 *. Float.max 1. (Float.max w w')
+
+(* One merge of the two snapshots' rows, which are sorted by destination. *)
+let edge_distance (a : Flowgraph.Csr.t) (b : Flowgraph.Csr.t) =
   let count = ref 0 in
-  Flowgraph.Graph.iter_edges
-    (fun ~src ~dst w ->
-      if differs w (Flowgraph.Graph.edge_weight b ~src ~dst) then incr count)
-    a;
-  (* Edges present only in b. *)
-  Flowgraph.Graph.iter_edges
-    (fun ~src ~dst _w ->
-      if Flowgraph.Graph.edge_weight a ~src ~dst = 0. then incr count)
-    b;
+  for u = 0 to Int.max a.n b.n - 1 do
+    let i = ref (if u < a.n then a.row_off.(u) else 0)
+    and j = ref (if u < b.n then b.row_off.(u) else 0) in
+    let i_end = if u < a.n then a.row_off.(u + 1) else 0
+    and j_end = if u < b.n then b.row_off.(u + 1) else 0 in
+    while !i < i_end || !j < j_end do
+      let da = if !i < i_end then a.col.(!i) else max_int
+      and db = if !j < j_end then b.col.(!j) else max_int in
+      let wa = if da <= db then a.w.(!i) else 0.
+      and wb = if db <= da then b.w.(!j) else 0. in
+      if edge_changed wa wb then incr count;
+      if da <= db then incr i;
+      if db <= da then incr j
+    done
+  done;
   !count
 
 let of_scheme scheme ~order =

@@ -50,8 +50,21 @@ val well_formed : t -> bool
     edges go forward in it, and the scheme's report confirms bandwidth,
     firewall and cap constraints. *)
 
-val edge_distance : Flowgraph.Graph.t -> Flowgraph.Graph.t -> int
-(** Number of edge insertions, deletions and re-weightings (beyond a 1e-9
-    relative tolerance) separating two graphs — the churn cost of moving a
-    live swarm from one overlay to another, every change being a TCP
-    connection to open, close or re-shape. *)
+val optimal_rate : Platform.Instance.t -> float
+(** [optimal_rate inst] is the rate [build inst] targets — bit for bit
+    [try rate (build inst) with Invalid_argument _ -> 0.] — without
+    building anything: {!Greedy.optimal_rate} backed off by [4 eps], and
+    0 when the instance admits no positive rate or is rejected. *)
+
+val edge_changed : float -> float -> bool
+(** [edge_changed w w'] holds when an edge of weight [w] ([0.] = absent)
+    becomes weight [w'] at the cost of a connection change: it appears,
+    disappears, or is re-weighted beyond a 1e-9 relative tolerance. *)
+
+val edge_distance : Flowgraph.Csr.t -> Flowgraph.Csr.t -> int
+(** Number of edge insertions, deletions and re-weightings
+    ({!edge_changed}) separating two frozen graphs — the churn cost of
+    moving a live swarm from one overlay to another, every change being a
+    TCP connection to open, close or re-shape. One merge of the sorted
+    CSR rows; a node missing from one side counts as a node without
+    edges. *)

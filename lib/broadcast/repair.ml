@@ -6,14 +6,10 @@ type delta = {
   full : bool;
   identity : bool;
   touched : int array;
-  added : (int * int) array;
-  removed : (int * int) array;
-  reweighted : (int * int) array;
 }
 
 type stats = {
   patch_edges : int;
-  rebuild_edges : int;
   rate_after : float;
   optimal_after : float;
   starved : int list;
@@ -21,27 +17,23 @@ type stats = {
   delta : delta;
 }
 
-let full_delta =
-  {
-    full = true;
-    identity = false;
-    touched = [||];
-    added = [||];
-    removed = [||];
-    reweighted = [||];
-  }
+let full_delta = { full = true; identity = false; touched = [||] }
 
 (* Mutable edge-modification log threaded through the repair primitives;
    folded into the structured [delta] once the operation commits. *)
 type log = {
-  mutable l_added : (int * int) list;  (* post-event ids *)
-  mutable l_reweighted : (int * int) list;  (* post-event ids *)
-  mutable l_removed : (int * int) list;  (* pre-event ids *)
-  mutable l_nodes : int list;  (* post-event ids touched beyond edges *)
+  mutable l_nodes : int list;
+      (* post-event ids touched beyond logged edges; -1 = departed *)
+  l_before : (int * int, float) Hashtbl.t;
+      (* post-event ids: weight before the repair first touched the edge *)
 }
 
-let new_log () =
-  { l_added = []; l_reweighted = []; l_removed = []; l_nodes = [] }
+let new_log () = { l_nodes = []; l_before = Hashtbl.create 16 }
+
+(* Log a change to edge [src -> dst], whose weight is [w] just before it. *)
+let log_edge log ~src ~dst w =
+  if not (Hashtbl.mem log.l_before (src, dst)) then
+    Hashtbl.add log.l_before (src, dst) w
 
 let delta_of ~map log =
   let identity = ref true in
@@ -49,35 +41,16 @@ let delta_of ~map log =
   let tbl = Hashtbl.create 16 in
   let touch v = if v >= 0 then Hashtbl.replace tbl v () in
   List.iter touch log.l_nodes;
-  List.iter
-    (fun (u, v) ->
+  Hashtbl.iter
+    (fun (u, v) _ ->
       touch u;
       touch v)
-    log.l_added;
-  List.iter
-    (fun (u, v) ->
-      touch u;
-      touch v)
-    log.l_reweighted;
-  (* Removed edges are logged in pre-event ids: the surviving endpoints
-     are what the repaired overlay still has to answer for. *)
-  List.iter
-    (fun (u, v) ->
-      touch map.(u);
-      touch map.(v))
-    log.l_removed;
+    log.l_before;
   let touched =
     Array.of_list
       (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl []))
   in
-  {
-    full = false;
-    identity = !identity;
-    touched;
-    added = Array.of_list (List.sort_uniq compare log.l_added);
-    removed = Array.of_list (List.sort_uniq compare log.l_removed);
-    reweighted = Array.of_list (List.sort_uniq compare log.l_reweighted);
-  }
+  { full = false; identity = !identity; touched }
 
 (* Provenance of a patched scheme: the original algorithm wrapped once in
    [Repaired] — repairs of repairs keep a single layer of wrapping. The
@@ -112,53 +85,55 @@ let remap_graph old_graph ~size ~map ~keep =
     old_graph;
   g
 
-(* Fill [deficit] units into [r] from nodes placed before it, spare-capacity
-   only, conservative class preference; returns the unfilled remainder. *)
-let refill inst graph ~log ~pos ~r ~deficit ~cut =
+(* [G.out_weight] per row, memoized for one event: an entry is summed on
+   first use and dropped when the repair adds to that row. *)
+let new_memo size = Array.make size Float.nan
+
+let out_weight memo graph u =
+  if Float.is_nan memo.(u) then memo.(u) <- G.out_weight graph u;
+  memo.(u)
+
+(* Fill [deficit] units into [r], whose position in [order] is [limit],
+   from the nodes placed before it: spare capacity only, guarded senders
+   first when [r] is open (the conservative class preference). Each class
+   is walked from the front of the order and the walk stops as soon as the
+   deficit is filled. Returns the unfilled remainder. *)
+let refill inst graph ~log ~memo ~order ~limit ~r ~deficit ~cut =
   let b = inst.Instance.bandwidth in
-  let senders_of_class want_guarded =
-    let all = ref [] in
-    for u = 0 to Instance.size inst - 1 do
-      if u <> r && pos.(u) < pos.(r) && Instance.is_guarded inst u = want_guarded
-      then begin
-        let spare = b.(u) -. G.out_weight graph u in
-        if spare > cut then all := (pos.(u), u, spare) :: !all
+  let draw want_guarded remaining =
+    let remaining = ref remaining and k = ref 0 in
+    while !remaining > cut && !k < limit do
+      let u = order.(!k) in
+      incr k;
+      if Instance.is_guarded inst u = want_guarded then begin
+        let spare = b.(u) -. out_weight memo graph u in
+        if spare > cut then begin
+          let amount = Float.min spare !remaining in
+          log_edge log ~src:u ~dst:r (G.edge_weight graph ~src:u ~dst:r);
+          G.add_edge graph ~src:u ~dst:r amount;
+          memo.(u) <- Float.nan;
+          remaining := !remaining -. amount
+        end
       end
     done;
-    List.sort compare !all
-  in
-  let draw remaining senders =
-    List.fold_left
-      (fun remaining (_, u, spare) ->
-        if remaining <= cut then remaining
-        else begin
-          let amount = Float.min spare remaining in
-          if G.edge_weight graph ~src:u ~dst:r > 0. then
-            log.l_reweighted <- (u, r) :: log.l_reweighted
-          else log.l_added <- (u, r) :: log.l_added;
-          G.add_edge graph ~src:u ~dst:r amount;
-          remaining -. amount
-        end)
-      remaining senders
+    !remaining
   in
   let remaining =
-    if Instance.is_guarded inst r then deficit
-    else draw deficit (senders_of_class true)
+    if Instance.is_guarded inst r then deficit else draw true deficit
   in
-  draw remaining (senders_of_class false)
+  draw false remaining
 
 (* Refill every reception deficit in topological order, so earlier repairs
    can rely on upstream nodes being whole again. *)
 let refill_all inst graph ~log ~order ~rate =
-  let pos = Array.make (Array.length order) 0 in
-  Array.iteri (fun i v -> pos.(v) <- i) order;
+  let memo = new_memo (Array.length order) in
   let cut = 1e-7 *. rate in
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun limit r ->
       if r <> 0 then begin
         let deficit = rate -. G.in_weight graph r in
         if deficit > cut then
-          ignore (refill inst graph ~log ~pos ~r ~deficit ~cut)
+          ignore (refill inst graph ~log ~memo ~order ~limit ~r ~deficit ~cut)
       end)
     order
 
@@ -174,43 +149,26 @@ let starved_of scheme =
   done;
   !starved
 
-let finish ~before_projected ~touched ~node_map ~delta patched =
-  let patch_edges =
-    touched + Overlay.edge_distance before_projected (Overlay.graph patched)
-  in
+(* Edge changes performed by the repair: every casualty edge, plus each
+   logged edge whose final weight differs from its pre-repair one. *)
+let patch_edges ~casualties ~log graph =
+  Hashtbl.fold
+    (fun (src, dst) before count ->
+      if Overlay.edge_changed before (G.edge_weight graph ~src ~dst) then count + 1
+      else count)
+    log.l_before casualties
+
+let finish ~casualties ~log ~graph ~node_map ~delta patched =
+  let patch_edges = patch_edges ~casualties ~log graph in
   (* [rate_after] comes from the patched scheme's memoized report — the CSR
      structured fast path on acyclic overlays, never a fresh max-flow. *)
   let rate_after = Overlay.verified_rate patched in
   let starved = starved_of (Overlay.scheme patched) in
-  let stats =
-    (* Churn can in principle leave an instance the Theorem 4.1 pipeline
-       no longer accepts (optimal rate 0); the patch must still stand on
-       its own, so a failed reference rebuild degrades to "no alternative"
-       instead of propagating the exception. *)
-    match Overlay.build (Overlay.instance patched) with
-    | rebuilt ->
-      {
-        patch_edges;
-        rebuild_edges =
-          touched + Overlay.edge_distance before_projected (Overlay.graph rebuilt);
-        rate_after;
-        optimal_after = Overlay.rate rebuilt;
-        starved;
-        node_map;
-        delta;
-      }
-    | exception Invalid_argument _ ->
-      {
-        patch_edges;
-        rebuild_edges = patch_edges;
-        rate_after;
-        optimal_after = 0.;
-        starved;
-        node_map;
-        delta;
-      }
-  in
-  (patched, stats)
+  (* Churn can in principle leave an instance the Theorem 4.1 pipeline no
+     longer accepts; the patch must still stand on its own, so the optimum
+     then reads 0 ("no alternative") instead of raising. *)
+  let optimal_after = Overlay.optimal_rate (Overlay.instance patched) in
+  (patched, { patch_edges; rate_after; optimal_after; starved; node_map; delta })
 
 (* Shared removal core: drop a set of nodes in one event, remap the
    survivors, and refill every reception deficit in topological order. *)
@@ -255,23 +213,23 @@ let remove_nodes o ~nodes ~op =
   in
   let old_graph = Overlay.graph o in
   let log = new_log () in
-  (* Every connection incident to a casualty is churn the survivors pay. *)
-  let touched = ref 0 in
+  (* Every connection incident to a casualty is churn the survivors pay,
+     and its surviving endpoint is touched. *)
+  let casualties = ref 0 in
   G.iter_edges
     (fun ~src ~dst _w ->
       if drop.(src) || drop.(dst) then begin
-        incr touched;
-        log.l_removed <- (src, dst) :: log.l_removed
+        incr casualties;
+        log.l_nodes <- map.(src) :: map.(dst) :: log.l_nodes
       end)
     old_graph;
   let graph =
     remap_graph old_graph ~size:(size - k) ~map:(fun v -> map.(v))
       ~keep:(fun v -> not drop.(v))
   in
-  let before_projected = G.copy graph in
   refill_all new_inst graph ~log ~order ~rate:(Overlay.rate o);
   let delta = delta_of ~map log in
-  finish ~before_projected ~touched:!touched ~node_map:map ~delta
+  finish ~casualties:!casualties ~log ~graph ~node_map:map ~delta
     (patched_overlay_of o ~inst:new_inst ~graph ~order ~delta)
 
 let leave o ~node = remove_nodes o ~nodes:[ node ] ~op:"Repair.leave"
@@ -308,19 +266,19 @@ let join o ~bandwidth ~cls =
   let graph =
     remap_graph (Overlay.graph o) ~size:(size + 1) ~map ~keep:(fun _ -> true)
   in
-  let before_projected = G.copy graph in
   let order = Array.append (Array.map map (Overlay.order o)) [| p |] in
-  let pos = Array.make (size + 1) 0 in
-  Array.iteri (fun i v -> pos.(v) <- i) order;
   let rate = Overlay.rate o in
   let cut = 1e-7 *. rate in
   let log = new_log () in
   log.l_nodes <- [ p ];
   (* On a saturated overlay this fills nothing: the newcomer is admitted
      at rate 0 and lands in [stats.starved] — never an exception. *)
-  ignore (refill new_inst graph ~log ~pos ~r:p ~deficit:rate ~cut);
-  let delta = delta_of ~map:(Array.init size map) log in
-  finish ~before_projected ~touched:0 ~node_map:(Array.init size map) ~delta
+  ignore
+    (refill new_inst graph ~log ~memo:(new_memo (size + 1)) ~order ~limit:size
+       ~r:p ~deficit:rate ~cut);
+  let node_map = Array.init size map in
+  let delta = delta_of ~map:node_map log in
+  finish ~casualties:0 ~log ~graph ~node_map ~delta
     (patched_overlay_of o ~inst:new_inst ~graph ~order ~delta)
 
 (* Bandwidth change without membership change: move the node to its sorted
@@ -369,15 +327,12 @@ let set_bandwidth o ~node ~bandwidth ~op =
       remap_graph (Overlay.graph o) ~size ~map:(fun v -> map.(v))
         ~keep:(fun _ -> true)
   in
-  let before_projected = G.copy graph in
   let node' = map.(node) in
   let log = new_log () in
   log.l_nodes <- [ node' ];
   let out = G.out_weight graph node' in
   if out > bandwidth then begin
-    List.iter
-      (fun (dst, _w) -> log.l_reweighted <- (node', dst) :: log.l_reweighted)
-      (G.out_edges graph node');
+    List.iter (fun (dst, w) -> log_edge log ~src:node' ~dst w) (G.out_edges graph node');
     if bandwidth <= 0. then
       List.iter
         (fun (dst, _w) -> G.set_edge graph ~src:node' ~dst 0.)
@@ -395,7 +350,7 @@ let set_bandwidth o ~node ~bandwidth ~op =
   in
   refill_all new_inst graph ~log ~order ~rate:(Overlay.rate o);
   let delta = delta_of ~map log in
-  finish ~before_projected ~touched:0 ~node_map:map ~delta
+  finish ~casualties:0 ~log ~graph ~node_map:map ~delta
     (patched_overlay_of o ~inst:new_inst ~graph ~order ~delta)
 
 let degrade o ~node ~bandwidth =
@@ -425,14 +380,33 @@ let rebuild ?headroom o =
       let t, _ = Greedy.optimal_acyclic inst in
       (Overlay.build ~rate:(t *. h) inst, t)
   in
-  let edges = Overlay.edge_distance (Overlay.graph o) (Overlay.graph rebuilt) in
   ( rebuilt,
     {
-      patch_edges = edges;
-      rebuild_edges = edges;
+      patch_edges =
+        Overlay.edge_distance (Scheme.snapshot (Overlay.scheme o))
+          (Scheme.snapshot (Overlay.scheme rebuilt));
       rate_after = Overlay.verified_rate rebuilt;
       optimal_after;
       starved = starved_of (Overlay.scheme rebuilt);
       node_map = Array.init (Instance.size inst) (fun v -> v);
       delta = full_delta;
     } )
+
+let rebuild_distance ~before patched stats =
+  match Overlay.build (Overlay.instance patched) with
+  | exception Invalid_argument _ -> stats.patch_edges
+  | rebuilt ->
+    let map = stats.node_map in
+    let casualties = ref 0 in
+    let pre = Overlay.graph before in
+    G.iter_edges
+      (fun ~src ~dst _w -> if map.(src) < 0 || map.(dst) < 0 then incr casualties)
+      pre;
+    let remapped =
+      remap_graph pre ~size:(Scheme.size (Overlay.scheme patched))
+        ~map:(fun v -> map.(v))
+        ~keep:(fun v -> map.(v) >= 0)
+    in
+    !casualties
+    + Overlay.edge_distance (Csr.of_graph remapped)
+        (Scheme.snapshot (Overlay.scheme rebuilt))

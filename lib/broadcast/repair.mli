@@ -50,14 +50,6 @@ type delta = {
           set changed, sorted ascending — renaming alone does not touch
           a node. The certificate-trusting auditor re-checks exactly
           these rows. *)
-  added : (int * int) array;
-      (** edges created by the repair (post-event ids, sorted) *)
-  removed : (int * int) array;
-      (** edges that vanished with a departure (pre-event ids, sorted);
-          edges clamped to zero by a degrade appear in [reweighted]
-          instead *)
-  reweighted : (int * int) array;
-      (** edges whose weight changed (post-event ids, sorted) *)
 }
 (** Structured account of what an operation disturbed — the contract that
     lets downstream layers (snapshot patching, the churn auditor's
@@ -65,19 +57,25 @@ type delta = {
     event instead of rescanning O(V+E) state. *)
 
 val full_delta : delta
-(** The everything-may-have-changed delta ([full = true], empty edge
-    lists) — what {!rebuild} reports, and the conservative default for
-    consumers handed no repair stats. *)
+(** The everything-may-have-changed delta ([full = true], nothing
+    [touched]) — what {!rebuild} reports, and the conservative default
+    for consumers handed no repair stats. *)
 
 type stats = {
-  patch_edges : int;  (** edge changes performed by the local repair *)
-  rebuild_edges : int;
-      (** edge changes a full re-optimization would have required *)
+  patch_edges : int;
+      (** edge changes performed by the local repair: the edges of the
+          departed nodes, plus every edge the repair logged whose final
+          weight differs from its pre-repair one ({!Overlay.edge_changed})
+          — counted from the repair's own log, never by diffing graphs *)
   rate_after : float;
       (** throughput of the patched overlay, measured through the scheme's
           memoized report (the CSR structured fast path on acyclic
           overlays — no fresh max-flow per operation) *)
-  optimal_after : float;  (** optimal acyclic rate of the new instance *)
+  optimal_after : float;
+      (** the rate a fresh {!Overlay.build} of the new instance would
+          target ({!Overlay.optimal_rate}: the optimal acyclic rate backed
+          off by [4 eps], 0 when the instance admits no positive rate) —
+          computed by the rate-only search, no overlay is built *)
   starved : int list;
       (** non-source nodes whose incoming rate remains below the overlay's
           target rate (beyond a [1e-6] relative slack) after the repair —
@@ -146,8 +144,9 @@ val restore : Overlay.t -> node:int -> bandwidth:float -> Overlay.t * stats
 val rebuild : ?headroom:float -> Overlay.t -> Overlay.t * stats
 (** [rebuild o] re-runs the full Theorem 4.1 pipeline on the overlay's
     instance — the expensive alternative the patch operations are
-    measured against. [patch_edges = rebuild_edges] in the returned
-    stats; the result carries fresh [Scheme.Theorem41] provenance.
+    measured against. [patch_edges] is the {!Overlay.edge_distance}
+    between the two overlays' frozen snapshots; the result carries fresh
+    [Scheme.Theorem41] provenance.
 
     By default the rebuild targets the instance's optimal acyclic rate,
     leaving zero spare upload capacity — so the next [join] necessarily
@@ -156,3 +155,14 @@ val rebuild : ?headroom:float -> Overlay.t -> Overlay.t * stats
     [stats.optimal_after] still reports the true optimum, so the
     post-rebuild ratio is honestly [headroom], not 1. Raises
     [Invalid_argument] on a headroom outside (0, 1]. *)
+
+val rebuild_distance : before:Overlay.t -> Overlay.t -> stats -> int
+(** [rebuild_distance ~before patched stats] is the edge churn a full
+    re-optimization would have cost instead of the patch that turned
+    [before] into [patched] with [stats]: the edges of the departed nodes
+    plus the {!Overlay.edge_distance} between [before]'s graph, renumbered
+    through [stats.node_map], and a fresh {!Overlay.build} of [patched]'s
+    instance. When that build raises [Invalid_argument] there is no
+    alternative and the result is [stats.patch_edges]. Builds a whole
+    overlay: an on-demand measurement for experiments, never paid by the
+    serving path. *)

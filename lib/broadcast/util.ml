@@ -31,7 +31,7 @@ type dichotomy = {
 }
 
 let dichotomic_search ?(iterations = 100) ?(epsilon = 1e-12) ~lo ~hi feasible =
-  if hi < lo then invalid_arg "Util.dichotomic_max: empty interval";
+  if hi < lo then invalid_arg "Util.dichotomic_search: empty interval";
   let width_done lo hi = hi -. lo <= epsilon *. scale lo hi in
   if feasible hi then { value = hi; feasible = true; probes = 1; converged = true }
   else if not (feasible lo) then

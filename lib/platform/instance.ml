@@ -43,7 +43,8 @@ let open_sum t = sum_range t.bandwidth 1 t.n
 let guarded_sum t = sum_range t.bandwidth (t.n + 1) (t.n + t.m)
 let total_sum t = sum_range t.bandwidth 0 (t.n + t.m)
 
-let non_increasing a lo hi =
+(* Monomorphic, so comparing bandwidths reads the float array unboxed. *)
+let non_increasing (a : float array) lo hi =
   let ok = ref true in
   for i = lo to hi - 1 do
     if a.(i) < a.(i + 1) then ok := false

@@ -53,6 +53,43 @@ let instance_arb ~max_open ~max_guarded =
 
 let open_instance_arb ~max_open = instance_arb ~max_open ~max_guarded:0
 
+(* The corners random draws rarely hit, each drawn with equal weight: a
+   zero-bandwidth source (optimal rate 0), a single receiver of either
+   class, many more guarded than open nodes (m >> n, down to no open node
+   at all), and all-equal bandwidths. *)
+let degenerate_instance_gen =
+  QCheck.Gen.(
+    let sorted bandwidth ~n ~m =
+      fst (Instance.normalize (Instance.create ~bandwidth ~n ~m ()))
+    in
+    oneof
+      [
+        ( int_range 1 6 >>= fun n ->
+          int_range 0 6 >>= fun m ->
+          array_repeat (n + m) bandwidth_gen >>= fun rest ->
+          return (sorted (Array.append [| 0. |] rest) ~n ~m) );
+        ( bool >>= fun guarded ->
+          array_repeat 2 bandwidth_gen >>= fun bandwidth ->
+          let n, m = if guarded then (0, 1) else (1, 0) in
+          return (sorted bandwidth ~n ~m) );
+        ( int_range 0 2 >>= fun n ->
+          int_range 20 60 >>= fun m ->
+          array_repeat (1 + n + m) bandwidth_gen >>= fun bandwidth ->
+          return (sorted bandwidth ~n ~m) );
+        ( int_range 0 8 >>= fun n ->
+          int_range (if n = 0 then 1 else 0) 8 >>= fun m ->
+          bandwidth_gen >>= fun b ->
+          return (sorted (Array.make (1 + n + m) b) ~n ~m) );
+      ])
+
+(* Shrinks like [instance_arb] but never below one receiver. *)
+let degenerate_instance =
+  QCheck.make
+    ~print:(fun t -> Format.asprintf "%a / %s" Instance.pp t (Instance.to_string t))
+    ~shrink:(fun inst yield ->
+      if Instance.size inst > 2 then instance_shrink inst yield)
+    degenerate_instance_gen
+
 (* {2 Churn-trace generation with real shrinking}
 
    [Churn.Trace.gen] draws whole traces from a seed, so shrinking the

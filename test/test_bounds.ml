@@ -110,6 +110,12 @@ let test_dichotomic_search () =
     Alcotest.fail "hi < lo accepted"
   with Invalid_argument _ -> ()
 
+let test_dichotomic_error_names_itself () =
+  let empty () = Broadcast.Util.dichotomic_search ~lo:1. ~hi:0. (fun _ -> true) in
+  Alcotest.check_raises "dichotomic_search"
+    (Invalid_argument "Util.dichotomic_search: empty interval") (fun () ->
+      ignore (empty ()))
+
 let test_float_comparisons () =
   let open Broadcast.Util in
   Alcotest.(check bool) "feq tolerant" true (feq 1. (1. +. 1e-12));
@@ -136,6 +142,8 @@ let suites =
         Alcotest.test_case "dichotomic search" `Quick test_dichotomic_max;
         Alcotest.test_case "dichotomic search diagnostics" `Quick
           test_dichotomic_search;
+        Alcotest.test_case "dichotomic search error message" `Quick
+          test_dichotomic_error_names_itself;
         Alcotest.test_case "tolerant comparisons" `Quick test_float_comparisons;
       ] );
   ]

@@ -454,20 +454,11 @@ let test_certificate_delta_scoped_acyclicity () =
   let stats_with touched =
     {
       Broadcast.Repair.patch_edges = 0;
-      rebuild_edges = 0;
       rate_after = Broadcast.Overlay.verified_rate corrupted;
       optimal_after = infinity;
       starved = [];
       node_map = Array.init size (fun v -> v);
-      delta =
-        {
-          Broadcast.Repair.full = false;
-          identity = true;
-          touched;
-          added = [||];
-          removed = [||];
-          reweighted = [||];
-        };
+      delta = { Broadcast.Repair.full = false; identity = true; touched };
     }
   in
   let cert = Churn.Audit.Certificate { strict_every = 0 } in

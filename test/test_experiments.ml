@@ -192,6 +192,20 @@ let test_churn_summary () =
     (s.Experiments.Churn_repair.kept_mean >= 0.
     && s.Experiments.Churn_repair.kept_mean <= 1. +. 1e-9)
 
+(* E13's table is pinned byte for byte: its "rebuild edges" column comes
+   from [Repair.rebuild_distance], which must reproduce the count the
+   repair used to compute on every event. *)
+let test_churn_golden () =
+  let e = Option.get (Experiments.Registry.find "churn") in
+  let buf = Buffer.create 1024 in
+  let fmt = Format.formatter_of_buffer buf in
+  e.Experiments.Registry.run fmt;
+  Format.pp_print_flush fmt ();
+  let ic = open_in_bin (Filename.concat (Filename.dirname Sys.executable_name) "golden/exp_churn.txt") in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "bmp exp churn" golden (Buffer.contents buf)
+
 let test_churn_validation () =
   try
     ignore (Experiments.Churn_repair.run ~headroom:1.5 ());
@@ -214,6 +228,7 @@ let extension_suites =
       [
         Alcotest.test_case "E13 churn summary" `Quick test_churn_summary;
         Alcotest.test_case "E13 churn validation" `Quick test_churn_validation;
+        Alcotest.test_case "E13 golden table" `Quick test_churn_golden;
         Alcotest.test_case "E14 depth ablation" `Quick test_depth_ablation_rows;
       ] );
   ]

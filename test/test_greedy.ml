@@ -93,6 +93,115 @@ let prop_below_cyclic =
       let t, _ = Broadcast.Greedy.optimal_acyclic inst in
       t <= Broadcast.Bounds.cyclic_upper inst +. 1e-9)
 
+(* {2 The single-loop GreedyTest against the recursive oracle}
+
+   [Oracle.Greedy] steps [Word.state] records through [choose] and
+   [Word.step]; the production loop must give the same answer bit for
+   bit — same word, same Table I accounting, same optimum — at every
+   rate, in particular within 1e-9 of T* where the search probes. *)
+
+let bits = Int64.bits_of_float
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let state_bits (s : W.state) =
+  (bits s.W.avail_open, bits s.W.avail_guarded, bits s.W.waste, s.W.fed_open,
+   s.W.fed_guarded)
+
+let agree_at inst ~rate =
+  let ours = outcome (fun () -> Broadcast.Greedy.test_trace inst ~rate) in
+  let theirs = outcome (fun () -> Oracle.Greedy.test_trace inst ~rate) in
+  let same =
+    match (ours, theirs) with
+    | Ok (w, trace), Ok (w', trace') ->
+      w = w'
+      && List.map
+           (fun d -> (d.Broadcast.Greedy.letter, state_bits d.Broadcast.Greedy.state))
+           trace
+         = List.map
+             (fun d -> (d.Oracle.Greedy.letter, state_bits d.Oracle.Greedy.state))
+             trace'
+      && Broadcast.Greedy.test inst ~rate = w
+      && Broadcast.Greedy.feasible inst ~rate = (w <> None)
+    | Error m, Error m' -> m = m'
+    | _ -> false
+  in
+  if not same then Alcotest.failf "GreedyTest differs from the oracle at rate %h" rate
+
+let agrees_with_oracle inst =
+  let ours = outcome (fun () -> Broadcast.Greedy.optimal_acyclic inst) in
+  (match (ours, outcome (fun () -> Oracle.Greedy.optimal_acyclic inst)) with
+  | Ok (t, w), Ok (t', w') ->
+    if bits t <> bits t' || w <> w' then
+      Alcotest.failf "optimal_acyclic %h vs oracle %h" t t';
+    if bits (Broadcast.Greedy.optimal_rate inst) <> bits t then
+      Alcotest.failf "optimal_rate differs from optimal_acyclic's %h" t;
+    List.iter
+      (fun rate -> if rate > 0. then agree_at inst ~rate)
+      [
+        t *. (1. -. 1e-9); t *. (1. -. 1e-10); Float.pred t; t; Float.succ t;
+        t *. (1. +. 1e-10); t *. (1. +. 1e-9); t -. 1e-9; t +. 1e-9; 0.5 *. t;
+        2. *. t;
+      ]
+  | Error m, Error m' -> Alcotest.(check string) "same rejection" m' m
+  | _ -> Alcotest.fail "optimal_acyclic and the oracle disagree on raising");
+  (* The optimum Repair reports is the rate Overlay.build targets. *)
+  if bits (Broadcast.Overlay.optimal_rate inst) <> bits (Oracle.optimal_after inst)
+  then Alcotest.fail "Overlay.optimal_rate differs from Overlay.build's rate";
+  true
+
+let prop_oracle_random =
+  QCheck.Test.make ~name:"GreedyTest = recursive oracle, bit for bit" ~count:200
+    (Helpers.instance_arb ~max_open:12 ~max_guarded:12)
+    agrees_with_oracle
+
+let prop_oracle_degenerate =
+  QCheck.Test.make ~name:"GreedyTest = oracle on degenerate instances" ~count:200
+    Helpers.degenerate_instance agrees_with_oracle
+
+let test_degenerate_corners () =
+  let zero_source = Instance.create ~bandwidth:[| 0.; 5.; 3. |] ~n:1 ~m:1 () in
+  ignore (agrees_with_oracle zero_source);
+  Alcotest.(check (float 0.)) "zero source: rate 0" 0.
+    (Broadcast.Greedy.optimal_rate zero_source);
+  Alcotest.(check string) "zero source: complete word" "og"
+    (W.to_string (snd (Broadcast.Greedy.optimal_acyclic zero_source)));
+  Alcotest.(check (float 0.)) "zero source: no overlay, optimum 0" 0.
+    (Broadcast.Overlay.optimal_rate zero_source);
+  let no_receiver = Instance.create ~bandwidth:[| 5. |] ~n:0 ~m:0 () in
+  Alcotest.check_raises "no receiver"
+    (Invalid_argument "Greedy.optimal_rate: no receiver") (fun () ->
+      ignore (Broadcast.Greedy.optimal_rate no_receiver));
+  Alcotest.(check (float 0.)) "no receiver: optimum 0" 0.
+    (Broadcast.Overlay.optimal_rate no_receiver)
+
+(* A probe allocates a constant number of words whatever the instance
+   size: the loop keeps O, G and W unboxed and builds no word. *)
+let probe_words inst ~rate =
+  let w0 = Gc.minor_words () in
+  let ok = Broadcast.Greedy.feasible inst ~rate in
+  let w1 = Gc.minor_words () in
+  (ok, w1 -. w0)
+
+let test_probe_allocation () =
+  let words total =
+    let inst =
+      Generator.generate
+        { Generator.total; p_open = 0.7; dist = Prng.Dist.unif100 }
+        (Prng.Splitmix.create 9L)
+    in
+    let t = Broadcast.Greedy.optimal_rate inst in
+    let ok, below = probe_words inst ~rate:(t *. 0.999) in
+    Alcotest.(check bool) "below the optimum is feasible" true ok;
+    let ok, above = probe_words inst ~rate:(t *. 1.001) in
+    Alcotest.(check bool) "above the optimum is not" false ok;
+    Float.max below above
+  in
+  let small = words 100 and large = words 10_000 in
+  if large > small || large > 16. then
+    Alcotest.failf "a probe allocates %.0f words at n = 10^4 (%.0f at n = 100)"
+      large small
+
 let suites =
   [
     ( "greedy",
@@ -106,5 +215,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_greedy_is_exact;
         QCheck_alcotest.to_alcotest prop_witness_achieves;
         QCheck_alcotest.to_alcotest prop_below_cyclic;
+        QCheck_alcotest.to_alcotest prop_oracle_random;
+        QCheck_alcotest.to_alcotest prop_oracle_degenerate;
+        Alcotest.test_case "degenerate corners" `Quick test_degenerate_corners;
+        Alcotest.test_case "probe allocation is size-free" `Quick
+          test_probe_allocation;
       ] );
   ]

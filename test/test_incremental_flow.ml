@@ -127,6 +127,131 @@ let prop_engine_knob_inert =
       a.Churn.Engine.summary = b.Churn.Engine.summary
       && a.Churn.Engine.timeline = b.Churn.Engine.timeline)
 
+(* {2 Repair's churn counts against the formulas they replaced}
+
+   [Repair] counts from its own edge log and a rate-only optimum search;
+   the formulas that rebuild and diff whole graphs are [Oracle]'s. After
+   every Repair call of a random trace, [optimal_after] must carry the bits of the rate
+   [Overlay.build] targets, [patch_edges] must equal the casualty edges
+   plus the distance from the renumbered pre-event graph to the patched
+   one, and [rebuild_distance] must equal the old per-event
+   [rebuild_edges]; every tenth event a rebuild's count must equal the
+   hashtable diff. *)
+
+let min_population = 3
+
+let resolve_pick ~size pick = 1 + (pick mod (size - 1))
+
+(* Churn.Engine's batch rule: distinct casualties, at most [size - 3]. *)
+let resolve_batch ~size picks =
+  List.fold_left
+    (fun acc pick ->
+      let v = resolve_pick ~size pick in
+      if List.length acc >= size - min_population || List.mem v acc then acc
+      else v :: acc)
+    [] picks
+
+let check_repair ~what before ((patched, (stats : Broadcast.Repair.stats)) as r) =
+  let module R = Broadcast.Repair in
+  let bits = Int64.bits_of_float in
+  let inst = Broadcast.Overlay.instance patched in
+  if bits stats.R.optimal_after <> bits (Oracle.optimal_after inst) then
+    Alcotest.failf "%s: optimal_after %h, Overlay.build's rate %h" what
+      stats.R.optimal_after (Oracle.optimal_after inst);
+  let patch = Oracle.patch_edges ~before patched stats in
+  if stats.R.patch_edges <> patch then
+    Alcotest.failf "%s: patch_edges %d, graph diff %d" what stats.R.patch_edges patch;
+  let rebuild = Oracle.rebuild_edges ~before patched stats in
+  let distance = R.rebuild_distance ~before patched stats in
+  if distance <> rebuild then
+    Alcotest.failf "%s: rebuild_distance %d, old rebuild_edges %d" what distance
+      rebuild;
+  r
+
+let replay_checked o (trace : Churn.Trace.t) =
+  let module R = Broadcast.Repair in
+  let cls guarded = if guarded then Instance.Guarded else Instance.Open in
+  Array.iteri
+    (fun index event ->
+      let what = Printf.sprintf "event %d" index in
+      let o0 = !o in
+      let size = Instance.size (Broadcast.Overlay.instance o0) in
+      let bandwidth node factor =
+        (Broadcast.Overlay.instance o0).Instance.bandwidth.(node) *. factor
+      in
+      let repaired =
+        match event with
+        | Churn.Trace.Leave { pick } ->
+          if size <= min_population then None
+          else Some (R.leave o0 ~node:(resolve_pick ~size pick))
+        | Join { bandwidth; guarded } ->
+          Some (R.join o0 ~bandwidth ~cls:(cls guarded))
+        | Degrade { pick; factor } ->
+          let node = resolve_pick ~size pick in
+          Some (R.degrade o0 ~node ~bandwidth:(bandwidth node factor))
+        | Restore { pick; factor } ->
+          let node = resolve_pick ~size pick in
+          Some (R.restore o0 ~node ~bandwidth:(bandwidth node (1. /. factor)))
+        | Fail_batch { picks } -> (
+          match resolve_batch ~size picks with
+          | [] -> None
+          | nodes -> Some (R.leave_batch o0 ~nodes))
+        | Flash_crowd { arrivals } ->
+          (* One checked Repair call per arrival. *)
+          List.iter
+            (fun (bandwidth, guarded) ->
+              let before = !o in
+              o :=
+                fst
+                  (check_repair ~what before
+                     (R.join before ~bandwidth ~cls:(cls guarded))))
+            arrivals;
+          None
+      in
+      Option.iter (fun r -> o := fst (check_repair ~what o0 r)) repaired;
+      if index mod 10 = 9 then begin
+        let headroom = if index mod 20 = 9 then None else Some 0.9 in
+        match R.rebuild ?headroom !o with
+        | rebuilt, stats ->
+          let diff =
+            Oracle.edge_distance (Broadcast.Overlay.graph !o)
+              (Broadcast.Overlay.graph rebuilt)
+          in
+          if stats.R.patch_edges <> diff then
+            Alcotest.failf "%s: rebuild patch_edges %d, graph diff %d" what
+              stats.R.patch_edges diff;
+          o := rebuilt
+        | exception Invalid_argument _ -> ()
+      end)
+    trace.Churn.Trace.events
+
+(* Same ~300 random platform/trace pairs as the flow differential. *)
+let prop_repair_counts =
+  QCheck.Test.make ~count:300
+    ~name:"repair counts = rebuild-and-diff formulas after every event"
+    (QCheck.pair
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+       (Helpers.trace_arb ~events:50 ()))
+    (fun (seed, trace) ->
+      let headroom = [| 1.0; 0.9; 0.7 |].(seed mod 3) in
+      replay_checked (ref (overlay_of_seed ~headroom seed)) trace;
+      true)
+
+(* The same checks from degenerate platforms; one whose optimum is 0
+   admits no overlay, and only the reported optimum is compared. *)
+let prop_repair_counts_degenerate =
+  QCheck.Test.make ~count:100
+    ~name:"repair counts = formulas from degenerate platforms"
+    (QCheck.pair Helpers.degenerate_instance (Helpers.trace_arb ~events:30 ()))
+    (fun (inst, trace) ->
+      let optimum = Broadcast.Overlay.optimal_rate inst in
+      if Int64.bits_of_float optimum <> Int64.bits_of_float (Oracle.optimal_after inst)
+      then Alcotest.failf "optimum %h, Overlay.build's rate %h" optimum
+          (Oracle.optimal_after inst);
+      if optimum > 0. then
+        replay_checked (ref (Broadcast.Overlay.build ~rate:optimum inst)) trace;
+      true)
+
 (* {2 Targeted unit cases} *)
 
 (* Apply one repair operation to both the overlay and the warm state,
@@ -304,6 +429,8 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_differential;
         QCheck_alcotest.to_alcotest prop_engine_knob_inert;
+        QCheck_alcotest.to_alcotest prop_repair_counts;
+        QCheck_alcotest.to_alcotest prop_repair_counts_degenerate;
         Alcotest.test_case "leave of saturated relay" `Quick
           test_leave_saturated_relay;
         Alcotest.test_case "join that re-saturates" `Quick

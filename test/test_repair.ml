@@ -28,11 +28,15 @@ let test_edge_distance () =
   G.add_edge a ~src:0 ~dst:2 1.;
   G.add_edge b ~src:0 ~dst:1 1.;
   G.add_edge b ~src:1 ~dst:2 1.;
+  let distance a b =
+    Broadcast.Overlay.edge_distance (Flowgraph.Csr.of_graph a)
+      (Flowgraph.Csr.of_graph b)
+  in
   (* 0->2 removed, 1->2 added. *)
-  Alcotest.(check int) "two changes" 2 (Broadcast.Overlay.edge_distance a b);
-  Alcotest.(check int) "self distance" 0 (Broadcast.Overlay.edge_distance a a);
+  Alcotest.(check int) "two changes" 2 (distance a b);
+  Alcotest.(check int) "self distance" 0 (distance a a);
   G.set_edge b ~src:0 ~dst:1 2.;
-  Alcotest.(check int) "reweight counts" 3 (Broadcast.Overlay.edge_distance a b)
+  Alcotest.(check int) "reweight counts" 3 (distance a b)
 
 let overlay_with_headroom inst headroom =
   let t, _ = Broadcast.Greedy.optimal_acyclic inst in
@@ -50,7 +54,8 @@ let test_leave_basic () =
   Alcotest.(check bool) "rate kept" true
     (stats.Broadcast.Repair.rate_after >= Broadcast.Overlay.rate o -. 1e-6);
   Alcotest.(check bool) "patch cheaper than rebuild" true
-    (stats.Broadcast.Repair.patch_edges <= stats.Broadcast.Repair.rebuild_edges)
+    (stats.Broadcast.Repair.patch_edges
+    <= Broadcast.Repair.rebuild_distance ~before:o o' stats)
 
 let test_leave_open_node () =
   let o = overlay_with_headroom Instance.fig1 0.6 in
@@ -116,7 +121,7 @@ let test_rebuild () =
     (stats.Broadcast.Repair.rate_after >= stats.Broadcast.Repair.optimal_after -. 1e-6);
   Alcotest.(check bool) "well formed" true (Broadcast.Overlay.well_formed o');
   Alcotest.(check int) "patch = rebuild cost" stats.Broadcast.Repair.patch_edges
-    stats.Broadcast.Repair.rebuild_edges
+    (Broadcast.Repair.rebuild_distance ~before:o o' stats)
 
 (* Property: with headroom, any single departure is absorbed — the patched
    overlay stays well-formed and every remaining node keeps receiving at
